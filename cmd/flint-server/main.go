@@ -75,7 +75,7 @@ func main() {
 	schedAlpha := flag.Float64("sched-alpha", 0.3, "telemetry EWMA smoothing factor")
 	schedMaxOC := flag.Float64("sched-max-overcommit", 3, "cap on the deadline-driven sync assignment multiplier")
 	schedRebuild := flag.Duration("sched-rebuild", 2*time.Second, "scheduler fleet-view rebuild period")
-	schedCompression := flag.Float64("sched-time-compression", 1, "virtual-time fleets: device-reported timings arrive this many times faster than wall clock (match flint-fleet -virtual -compression)")
+	schedCompression := flag.Float64("sched-time-compression", 1, "virtual-time fleets: device-reported timings arrive this many times faster than wall clock (match flint-fleet -compression)")
 	exchange := flag.String("exchange", "", "shard mode: gateway base URL for the tier exchange (the server becomes one replica of a sharded tier)")
 	shardID := flag.Int("shard-id", 0, "shard mode: this replica's index on the gateway's ring")
 	shardHB := flag.Duration("shard-heartbeat", time.Second, "shard mode: tier heartbeat interval (must be well under the leader's grace window)")

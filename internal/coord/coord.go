@@ -19,7 +19,7 @@
 //
 // cmd/flint-server runs the coordinator behind a stdlib net/http JSON API
 // (/v1/checkin, /v1/task, /v1/update, /v1/status); cmd/flint-fleet drives it
-// with thousands of goroutine devices drawn from device.BenchPool profiles.
+// with internal/vload's simulated devices. This package ships no client.
 package coord
 
 import (

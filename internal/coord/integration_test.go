@@ -19,164 +19,6 @@ import (
 	"flint/internal/transport"
 )
 
-// TestFleetEndToEnd drives a fleet of goroutine devices through a live
-// httptest server until at least 3 rounds commit, in both serving modes.
-// Run with -race: this is the subsystem's concurrency gauntlet.
-func TestFleetEndToEnd(t *testing.T) {
-	cases := []struct {
-		name string
-		cfg  Config
-	}{
-		{
-			name: "SyncFedAvg",
-			cfg: Config{
-				Mode:          ModeSync,
-				ModelKind:     model.KindA,
-				Seed:          1,
-				TargetUpdates: 12,
-				Quorum:        4,
-				OverCommit:    2,
-				RoundDeadline: 5 * time.Second,
-				QueueDepth:    128,
-				KeepVersions:  -1,
-				Criteria:      availability.Criteria{RequireWiFi: true},
-			},
-		},
-		{
-			name: "AsyncFedBuff",
-			cfg: Config{
-				Mode:           ModeAsync,
-				ModelKind:      model.KindA,
-				Seed:           1,
-				TargetUpdates:  12,
-				Quorum:         4,
-				MaxInflight:    256,
-				RoundDeadline:  5 * time.Second,
-				MaxStaleness:   4,
-				StalenessAlpha: 0.5,
-				QueueDepth:     128,
-				KeepVersions:   -1,
-				Criteria:       availability.Criteria{RequireWiFi: true},
-			},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			c, err := New(tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			srv := httptest.NewServer(NewServer(c))
-			defer srv.Close()
-
-			rep, err := RunFleet(FleetConfig{
-				BaseURL:      srv.URL,
-				Devices:      150,
-				Rounds:       3,
-				Seed:         7,
-				ThinkTime:    15 * time.Millisecond,
-				ComputeScale: 0.2,
-				Timeout:      90 * time.Second,
-			})
-			if err != nil {
-				t.Fatalf("fleet: %v (report: %+v)", err, rep)
-			}
-			if rep.RoundsCommitted < 3 {
-				t.Fatalf("committed %d rounds, want >= 3", rep.RoundsCommitted)
-			}
-			if rep.UpdatesAccepted < int64(3*tc.cfg.Quorum) {
-				t.Fatalf("only %d updates accepted", rep.UpdatesAccepted)
-			}
-			if rep.CheckInLatency.Count == 0 || rep.UpdateLatency.Count == 0 {
-				t.Fatalf("latency histograms empty: %+v", rep)
-			}
-			// The published model moved: aggregation really ran.
-			final, v, err := c.Store().Latest(c.Config().ModelName)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v < 4 {
-				t.Fatalf("store latest version = %d, want >= 4", v)
-			}
-			init, err := c.Store().Get(c.Config().ModelName, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			diff := final.Params().Clone()
-			diff.Sub(init.Params())
-			if diff.Norm2() == 0 {
-				t.Fatal("model parameters unchanged after 3 committed rounds")
-			}
-		})
-	}
-}
-
-// TestFleetMixedProtocols runs binary-tensor and legacy-JSON clients
-// against the same server in the same rounds: the content-negotiation
-// contract is that neither cohort can tell the other exists.
-func TestFleetMixedProtocols(t *testing.T) {
-	c, err := New(Config{
-		Mode:          ModeSync,
-		ModelKind:     model.KindA,
-		Seed:          1,
-		TargetUpdates: 10,
-		Quorum:        4,
-		OverCommit:    2,
-		RoundDeadline: 5 * time.Second,
-		QueueDepth:    128,
-		KeepVersions:  -1,
-		Transport:     transport.Config{Default: transport.Policy{Update: codec.Q8}},
-		Criteria:      availability.Criteria{RequireWiFi: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	srv := httptest.NewServer(NewServer(c))
-	defer srv.Close()
-
-	rep, err := RunFleet(FleetConfig{
-		BaseURL:      srv.URL,
-		Devices:      80,
-		Rounds:       2,
-		Seed:         11,
-		ThinkTime:    15 * time.Millisecond,
-		ComputeScale: 0.2,
-		JSONFraction: 0.5,
-		Timeout:      90 * time.Second,
-	})
-	if err != nil {
-		t.Fatalf("fleet: %v (report: %+v)", err, rep)
-	}
-	if rep.BinaryDevices != 40 || rep.JSONDevices != 40 {
-		t.Fatalf("cohorts: %d binary, %d json", rep.BinaryDevices, rep.JSONDevices)
-	}
-	if rep.BytesSent == 0 || rep.BytesRecv == 0 {
-		t.Fatalf("wire stats empty: %+v", rep)
-	}
-	// Both protocols actually carried traffic on both directions.
-	for _, counter := range []string{"task_sent_binary", "task_sent_json", "update_recv_binary", "update_recv_json"} {
-		if c.Counters().Counter(counter).Value() == 0 {
-			t.Errorf("counter %s = 0: that protocol path never ran", counter)
-		}
-	}
-	// Quantized binary updates aggregated alongside JSON ones.
-	final, _, err := c.Store().Latest(c.Config().ModelName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	init, err := c.Store().Get(c.Config().ModelName, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diff := final.Params().Clone()
-	diff.Sub(init.Params())
-	if diff.Norm2() == 0 {
-		t.Fatal("model parameters unchanged after mixed-protocol rounds")
-	}
-}
-
 // TestPublishedBlobCache checks the per-commit broadcast cache: the blob a
 // task carries decodes to the published parameters, is shared byte-for-byte
 // between requests at the same version, and is re-encoded after a commit.
@@ -787,105 +629,6 @@ func TestUpdateOversizeRejected(t *testing.T) {
 	}
 	if c.Counters().Counter("update_rejected_oversize").Value() != 2 {
 		t.Fatal("oversize JSON update not counted")
-	}
-}
-
-// TestFleetTransportMix is the acceptance gauntlet scaled for CI: delta-
-// capable, legacy full-broadcast, and JSON devices share the same rounds
-// in both serving modes, deltas actually flow, and the downlink wire
-// stats surface in /v1/status.
-func TestFleetTransportMix(t *testing.T) {
-	for _, mode := range []Mode{ModeSync, ModeAsync} {
-		t.Run(string(mode), func(t *testing.T) {
-			cfg := Config{
-				Mode:          mode,
-				ModelKind:     model.KindA,
-				Seed:          1,
-				TargetUpdates: 12,
-				Quorum:        4,
-				OverCommit:    2,
-				MaxInflight:   256,
-				RoundDeadline: 5 * time.Second,
-				MaxStaleness:  4,
-				QueueDepth:    128,
-				KeepVersions:  -1,
-				Criteria:      availability.Criteria{}, // admit cellular: both cohorts serve
-			}
-			c, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			srv := httptest.NewServer(NewServer(c))
-			defer srv.Close()
-
-			// Rounds must exceed Devices/TargetUpdates (= 5): the fast
-			// commit pipeline can otherwise finish every round from
-			// devices' *first* task fetches alone, and delta frames only
-			// flow on a device's second fetch (when it holds a base).
-			rep, err := RunFleet(FleetConfig{
-				BaseURL:        srv.URL,
-				Devices:        60,
-				Rounds:         8,
-				Seed:           23,
-				ThinkTime:      15 * time.Millisecond,
-				ComputeScale:   0.2,
-				JSONFraction:   0.3,
-				LegacyFraction: 0.3,
-				Timeout:        90 * time.Second,
-			})
-			if err != nil {
-				t.Fatalf("fleet: %v (report: %+v)", err, rep)
-			}
-			if rep.RoundsCommitted < 3 {
-				t.Fatalf("committed %d rounds, want >= 3", rep.RoundsCommitted)
-			}
-			if rep.JSONDevices != 18 || rep.LegacyDevices != 18 || rep.BinaryDevices != 24 {
-				t.Fatalf("cohorts: %d json, %d legacy, %d binary",
-					rep.JSONDevices, rep.LegacyDevices, rep.BinaryDevices)
-			}
-			if rep.DeltaTasks == 0 {
-				t.Fatal("no delta frames flowed in a delta-capable fleet")
-			}
-			counters := c.Counters()
-			for _, name := range []string{
-				"task_sent_binary", "task_sent_json", "task_sent_delta",
-				"update_recv_binary", "update_recv_json",
-				"broadcast_bytes_full", "broadcast_bytes_delta",
-			} {
-				if counters.Counter(name).Value() == 0 {
-					t.Errorf("counter %s = 0: that path never ran", name)
-				}
-			}
-			if hits, misses := counters.Counter("delta_cache_hits").Value(),
-				counters.Counter("delta_cache_misses").Value(); hits+misses == 0 {
-				t.Error("delta cache never exercised")
-			}
-			// The downlink stats ride /v1/status like the uplink ones.
-			st := rep.FinalStatus
-			if st == nil {
-				t.Fatal("no final status")
-			}
-			for _, name := range []string{"broadcast_bytes_full", "broadcast_bytes_delta", "delta_cache_hits"} {
-				if _, ok := st.Counters[name]; !ok {
-					t.Errorf("status counters missing %s", name)
-				}
-			}
-			// Aggregation still converged across all three client kinds.
-			final, _, err := c.Store().Latest(c.Config().ModelName)
-			if err != nil {
-				t.Fatal(err)
-			}
-			init, err := c.Store().Get(c.Config().ModelName, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			moved := final.Params().Clone()
-			moved.Sub(init.Params())
-			if moved.Norm2() == 0 {
-				t.Fatal("model parameters unchanged after mixed-transport rounds")
-			}
-		})
 	}
 }
 

@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"flint/internal/coord"
+	"flint/internal/model"
+	"flint/internal/tenant"
 )
 
 // batchBackend is a fake shard that understands /v1/checkin/batch: it
@@ -141,5 +143,71 @@ func TestGatewayCheckInBatchSplit(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusBadGateway {
 		t.Fatalf("partial shard failure returned %s, want 502", resp2.Status)
+	}
+}
+
+// TestGatewayCheckInBatchForwardsJobToken splits a batched check-in for
+// a token-protected job across tenant-plane shards: each shard
+// authenticates its sub-batch, so the client's Authorization header
+// must ride along, and a batch without it must not get through.
+func TestGatewayCheckInBatchForwardsJobToken(t *testing.T) {
+	leader, err := NewLeader(LeaderConfig{Shards: 2, Grace: time.Hour, Params: testParams})
+	if err != nil {
+		t.Fatal(err)
+	}
+	regs := make([]*tenant.Registry, 2)
+	urls := make([]string, 2)
+	for i := range regs {
+		regs[i] = tenant.NewRegistry(coord.Config{ModelKind: model.KindA, Seed: 1, RoundDeadline: time.Minute})
+		t.Cleanup(regs[i].Close)
+		if _, err := regs[i].Register(tenant.JobSpec{Name: "secure", Token: "t0ken"}); err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(tenant.NewServer(regs[i], false))
+		t.Cleanup(srv.Close)
+		urls[i] = srv.URL
+	}
+	gw, err := NewGateway(GatewayConfig{Shards: urls, Leader: leader})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(gw)
+	defer front.Close()
+
+	var req coord.BatchCheckInRequest
+	for id := int64(1); id <= 60; id++ {
+		req.Devices = append(req.Devices, coord.CheckInRequest{DeviceID: id, Model: "Pixel-6", WiFi: true})
+	}
+	raw, _ := json.Marshal(req)
+	post := func(token string) *http.Response {
+		r, _ := http.NewRequest(http.MethodPost, front.URL+"/v1/jobs/secure/checkin/batch", bytes.NewReader(raw))
+		r.Header.Set("Content-Type", "application/json")
+		if token != "" {
+			r.Header.Set("Authorization", "Bearer "+token)
+		}
+		resp, err := http.DefaultClient.Do(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { resp.Body.Close() })
+		return resp
+	}
+	if resp := post(""); resp.StatusCode == http.StatusOK {
+		t.Fatal("tokenless batch check-in for a protected job succeeded")
+	}
+	resp := post("t0ken")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch check-in with the job token: %s", resp.Status)
+	}
+	var out coord.BatchCheckInResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	known := 0
+	for _, reg := range regs {
+		known += reg.Get("secure").Coord.Status().Devices.Known
+	}
+	if out.Accepted != 60 || known != 60 {
+		t.Fatalf("accepted %d, shards know %d devices; want 60", out.Accepted, known)
 	}
 }

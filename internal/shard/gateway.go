@@ -280,6 +280,11 @@ func (g *Gateway) routeCheckInBatch(w http.ResponseWriter, r *http.Request) {
 				sub, err = http.NewRequestWithContext(r.Context(), http.MethodPost,
 					g.shards[si]+r.URL.RequestURI(), bytes.NewReader(body))
 				if err == nil {
+					// The shard authenticates and traces the sub-batch
+					// like the client's request: forward its headers.
+					sub.Header = r.Header.Clone()
+					sub.Header.Del("Connection")
+					sub.Header.Del("Content-Length")
 					sub.Header.Set("Content-Type", "application/json")
 					var resp *http.Response
 					if resp, err = g.client.Do(sub); err == nil {

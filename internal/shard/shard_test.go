@@ -285,12 +285,20 @@ func TestShardLossHaltsTierUntilRecovery(t *testing.T) {
 }
 
 // TestLeaderRejectsBadPartials covers the exchange's validation edges:
-// out-of-tier shard ids, undecodable blobs, and dimension mismatches
-// must be rejected without poisoning the tier.
+// out-of-tier shard ids (on pings and partials), undecodable blobs, and
+// dimension mismatches must be rejected without poisoning the tier.
 func TestLeaderRejectsBadPartials(t *testing.T) {
 	leader, err := NewLeader(LeaderConfig{Shards: 1, Grace: time.Hour, Params: testParams})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, id := range []int{-1, 1} {
+		if err := leader.Ping(id); err == nil {
+			t.Fatalf("ping from out-of-tier shard %d accepted", id)
+		}
+	}
+	if leader.Healthy() {
+		t.Fatal("out-of-tier pings made the tier healthy")
 	}
 	leader.Ping(0)
 	if _, err := leader.SubmitPartial(coord.PartialCommit{ShardID: 5}); err == nil {

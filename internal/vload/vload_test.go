@@ -12,16 +12,16 @@ import (
 	"flint/internal/sched"
 )
 
-// TestVirtualFleetSchedulerParity is the load plane's end-to-end
-// gauntlet, the compressed-time sibling of coord's
-// TestFleetSchedulerChurn: a virtual fleet two hours of diurnal time
-// deep, 120x compressed, drives sync rounds over the live HTTP API with
-// a server whose scheduler runs the matching TimeCompression. The same
-// things must hold as for the wall-clock fleet — every committed round
-// closes within its (wall) deadline, the scheduler measures devices from
-// their virtual-clock telemetry and remaps them off their radio labels,
-// and the census histograms fill — plus the batch-check-in path must
-// carry the registrations and the footprint accounting must be live.
+// TestVirtualFleetSchedulerParity is the scheduling plane's end-to-end
+// gauntlet: a virtual fleet two hours of diurnal time deep, 120x
+// compressed, with churning sessions and mixed simulated bandwidth,
+// drives sync rounds over the live HTTP API with a server whose
+// scheduler runs the matching TimeCompression. Every committed round
+// must close within its (wall) deadline, the scheduler must measure
+// devices from their virtual-clock telemetry and remap them off their
+// radio labels, and the census histograms must fill — plus the
+// batch-check-in path must carry the registrations and the footprint
+// accounting must be live.
 func TestVirtualFleetSchedulerParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second live virtual-fleet run")
@@ -149,13 +149,34 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := (Config{BaseURL: "http://x", StartHour: 25}).withDefaults(); err == nil {
 		t.Fatal("start hour 25 accepted")
 	}
+	if _, err := (Config{BaseURL: "http://x", JSONFraction: 0.6, DeltaFraction: 0.5}).withDefaults(); err == nil {
+		t.Fatal("JSON + delta fractions above 1 accepted")
+	}
+	if _, err := (Config{BaseURL: "http://x", PoisonFraction: 1.5}).withDefaults(); err == nil {
+		t.Fatal("poison fraction 1.5 accepted")
+	}
 	cfg, err := (Config{BaseURL: "http://x/"}).withDefaults()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.BaseURL != "http://x" || cfg.Compression != 60 || cfg.StartHour != 19 ||
-		cfg.VirtualDuration != 24*time.Hour || cfg.Batch != 2048 {
+	if cfg.BaseURL != "http://x" || cfg.Compression != 1 || cfg.StartHour != 19 ||
+		cfg.VirtualDuration != 24*time.Hour || cfg.Batch != 2048 ||
+		cfg.PoisonScale != 10 || cfg.api != "http://x/v1" {
 		t.Fatalf("unexpected defaults: %+v", cfg)
+	}
+	// The zero value is the always-on wall-clock fleet; compressed time
+	// gets the ads case study's diurnal device behaviour.
+	if cfg.Think != 20*time.Millisecond || cfg.TrainMedianSec != 0.01 ||
+		cfg.SessionsPerDay != 86400 || cfg.SessionMedianSec != 86400 {
+		t.Fatalf("unexpected wall-clock fleet defaults: %+v", cfg)
+	}
+	cfg, err = (Config{BaseURL: "http://x", Compression: 60}).withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Think != 120*time.Second || cfg.TrainMedianSec != 20 ||
+		cfg.SessionsPerDay != 3 || cfg.SessionMedianSec != 150 {
+		t.Fatalf("unexpected compressed-time defaults: %+v", cfg)
 	}
 	if cfg.Workers <= 0 || cfg.Client == nil || cfg.Bandwidth == nil {
 		t.Fatalf("defaults left zero fields: %+v", cfg)
@@ -167,5 +188,13 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if cfg.StartHour != 0 {
 		t.Fatalf("StartHour -1 mapped to %d, want 0", cfg.StartHour)
+	}
+	// A job routes device traffic under its tenant prefix.
+	cfg, err = (Config{BaseURL: "http://x", Job: "ads"}).withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.api != "http://x/v1/jobs/ads" {
+		t.Fatalf("job prefix %q", cfg.api)
 	}
 }

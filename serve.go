@@ -12,6 +12,7 @@ import (
 	"flint/internal/tenant"
 	"flint/internal/tensor"
 	"flint/internal/transport"
+	"flint/internal/vload"
 )
 
 // Live serving (the production half of the platform): a wall-clock
@@ -35,10 +36,11 @@ type (
 	CoordDPConfig = coord.DPConfig
 	// CoordPrivacyReport is the DP accountant's /v1/status view.
 	CoordPrivacyReport = coord.PrivacyReport
-	// FleetConfig drives the synthetic device fleet.
-	FleetConfig = coord.FleetConfig
+	// FleetConfig drives the synthetic device fleet (internal/vload);
+	// its zero Compression is the always-on wall-clock fleet.
+	FleetConfig = vload.Config
 	// FleetReport is the load generator's result.
-	FleetReport = coord.FleetReport
+	FleetReport = vload.Report
 )
 
 // Serving modes.
@@ -57,8 +59,10 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) { return coord.New(cf
 // CoordHandler wraps a coordinator in its /v1 JSON API.
 func CoordHandler(c *Coordinator) http.Handler { return coord.NewServer(c) }
 
-// RunFleet drives a simulated device fleet against a running server.
-func RunFleet(cfg FleetConfig) (*FleetReport, error) { return coord.RunFleet(cfg) }
+// RunFleet drives a simulated device fleet against a running server
+// until cfg.Rounds rounds commit (or the virtual duration or timeout
+// ends the run).
+func RunFleet(cfg FleetConfig) (*FleetReport, error) { return vload.Run(cfg) }
 
 // Multi-tenant job plane (internal/tenant): M independent FL jobs
 // hosted inside one server process behind /v1/jobs/<job>/... routing,

@@ -27,14 +27,13 @@ func TestServingFacade(t *testing.T) {
 	srv := httptest.NewServer(flint.CoordHandler(c))
 	defer srv.Close()
 
+	// The zero Compression is the always-on wall-clock fleet.
 	rep, err := flint.RunFleet(flint.FleetConfig{
-		BaseURL:      srv.URL,
-		Devices:      40,
-		Rounds:       1,
-		Seed:         3,
-		ThinkTime:    10 * time.Millisecond,
-		ComputeScale: 0,
-		Timeout:      60 * time.Second,
+		BaseURL: srv.URL,
+		Devices: 40,
+		Rounds:  1,
+		Seed:    3,
+		Timeout: 60 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -49,9 +48,9 @@ func TestServingFacade(t *testing.T) {
 	}
 	// The default fleet speaks the binary protocol; its wire traffic is
 	// visible in the report.
-	if rep.BinaryDevices != 40 || rep.BytesSent == 0 || rep.BytesRecv == 0 {
+	if rep.FullDevices != 40 || rep.BytesSent == 0 || rep.BytesRecv == 0 {
 		t.Fatalf("wire stats: %d binary devices, %d sent, %d received",
-			rep.BinaryDevices, rep.BytesSent, rep.BytesRecv)
+			rep.FullDevices, rep.BytesSent, rep.BytesRecv)
 	}
 	// The scheduling plane is on by default and its report rides status.
 	var sr flint.SchedReport = c.Status().Scheduler
@@ -123,15 +122,14 @@ func TestMultiTenantFacade(t *testing.T) {
 
 	fleet := func(job, token string, offset int64) flint.FleetConfig {
 		return flint.FleetConfig{
-			BaseURL:   srv.URL,
-			Job:       job,
-			Token:     token,
-			IDOffset:  offset,
-			Devices:   40,
-			Rounds:    2,
-			Seed:      3 + offset,
-			ThinkTime: 5 * time.Millisecond,
-			Timeout:   90 * time.Second,
+			BaseURL:  srv.URL,
+			Job:      job,
+			Token:    token,
+			IDOffset: offset,
+			Devices:  40,
+			Rounds:   2,
+			Seed:     3 + offset,
+			Timeout:  90 * time.Second,
 		}
 	}
 	var wg sync.WaitGroup
