@@ -193,11 +193,12 @@ func runJobs(base vload.Config, targets []jobTarget) ([]*vload.Report, []error) 
 	return reps, errs
 }
 
-// printServer renders the flat server's counters from the report's
-// shutdown snapshot (a gateway's rollup carries tier state instead).
+// printServer renders the flat server's counters and scheduler section
+// from the report's FinalStatus (nil against a gateway, whose document
+// nests one status per shard instead).
 func printServer(rep *vload.Report) {
 	st := rep.FinalStatus
-	if st == nil || rep.TierShards > 0 {
+	if st == nil {
 		return
 	}
 	c := st.Counters
@@ -214,9 +215,8 @@ func printServer(rep *vload.Report) {
 	fmt.Printf("  downlink: %.2f MiB full broadcast, %.2f MiB delta (%d cache hits, %d misses, %d aged bases)\n",
 		float64(c["broadcast_bytes_full"])/(1<<20), float64(c["broadcast_bytes_delta"])/(1<<20),
 		c["delta_cache_hits"], c["delta_cache_misses"], c["delta_base_aged"])
-	if sr := st.Scheduler; sr.Enabled {
-		fmt.Printf("  sched: %d/%d devices measured, %d remapped off their radio label; on-time %.0f%%, over-commit x%.2f, est task p50/p90/p99 %.2f/%.2f/%.2fs (%d deadline denials)\n",
-			sr.Measured, sr.Devices, sr.Remapped, sr.OnTimeFraction*100, sr.OverCommitScale,
-			sr.EstTaskP50Sec, sr.EstTaskP90Sec, sr.EstTaskP99Sec, c["task_denied_deadline"])
-	}
+	sr := st.Scheduler
+	fmt.Printf("  sched: %d/%d devices measured, %d remapped off their radio label; on-time %.0f%%, over-commit x%.2f, est task p50/p90/p99 %.2f/%.2f/%.2fs (%d deadline denials)\n",
+		sr.Measured, sr.Devices, sr.Remapped, sr.OnTimeFraction*100, sr.OverCommitScale,
+		sr.EstTaskP50Sec, sr.EstTaskP90Sec, sr.EstTaskP99Sec, c["task_denied_deadline"])
 }

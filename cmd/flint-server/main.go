@@ -70,7 +70,6 @@ func main() {
 	jobsFile := flag.String("jobs", "", "multi-tenant mode: JSON file of job specs (each spec overlays the flag-derived base config)")
 	admin := flag.Bool("admin", false, "enable POST /v1/jobs job registration")
 	maxDevices := flag.Int("max-devices", 0, "default job device quota (0 = unlimited; per-job specs override)")
-	schedOn := flag.Bool("sched", true, "enable the measured scheduling plane (bandwidth cohorts, deadline gate, dynamic over-commit)")
 	schedLowBWMbps := flag.Float64("sched-lowbw-mbps", 1.5, "measured downlink below this maps a device to the lowbw cohort")
 	schedAlpha := flag.Float64("sched-alpha", 0.3, "telemetry EWMA smoothing factor")
 	schedMaxOC := flag.Float64("sched-max-overcommit", 3, "cap on the deadline-driven sync assignment multiplier")
@@ -147,7 +146,6 @@ func main() {
 		MaxDevices: *maxDevices,
 		Transport:  transportCfg,
 		Sched: sched.Config{
-			Disable:         !*schedOn,
 			Alpha:           *schedAlpha,
 			LowBWBps:        *schedLowBWMbps * 1e6 / 8,
 			MaxOverCommit:   *schedMaxOC,
@@ -249,13 +247,10 @@ func main() {
 		}
 	}
 	def := reg.Default()
-	if sc := def.Coord.Config().Sched; !sc.Disable {
-		fmt.Printf("sched: lowbw < %.2f Mbps measured downlink, deadline gate (sync), over-commit ≤ %.1fx, rebuild every %s, telemetry TTL %s\n",
-			sc.LowBWBps*8/1e6, sc.MaxOverCommit, sc.RebuildEvery, sc.TelemetryTTL)
-	} else {
-		fmt.Println("sched: disabled (radio-label cohorts, static over-commit)")
-	}
-	fmt.Printf("listening on %s (/v1/* → default job %q, /v1/jobs/<job>/*, GET /v1/status rollup; admin registration %v)\n",
+	sc := def.Coord.Config().Sched
+	fmt.Printf("sched: lowbw < %.2f Mbps measured downlink, deadline gate (sync), over-commit ≤ %.1fx, rebuild every %s, telemetry TTL %s\n",
+		sc.LowBWBps*8/1e6, sc.MaxOverCommit, sc.RebuildEvery, sc.TelemetryTTL)
+	fmt.Printf("listening on %s (/v1/* → default job %q, /v1/jobs/<job>/*, GET /v1/jobs listing; admin registration %v)\n",
 		*addr, def.Spec.Name, *admin)
 	srv := tenant.NewServer(reg, *admin)
 	log.Fatal(tenant.ListenAndServe(*addr, srv))

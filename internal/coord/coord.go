@@ -174,8 +174,8 @@ type Config struct {
 	// per-device telemetry EWMAs, the measured-bandwidth cohort map that
 	// overrides the WiFi/cellular transport classification, the sync
 	// deadline gate, and the straggler-tail over-commit model. The zero
-	// value is enabled with defaults; set Sched.Disable to recover the
-	// label-only behavior.
+	// value runs it with defaults; devices that never report telemetry
+	// keep the label-only behavior.
 	Sched sched.Config
 
 	// Aggregation selects the commit reducer and pre-reduce norm screen.
@@ -214,9 +214,6 @@ type Config struct {
 	// LocalSteps is the per-task local training step count hint sent to
 	// devices.
 	LocalSteps int
-	// OmitParams stops tasks embedding the global parameter vector
-	// (clients of large models should fetch out of band).
-	OmitParams bool
 	// StoreDir, when non-empty, persists published versions to disk.
 	StoreDir string
 	// KeepVersions bounds how many published model versions the store

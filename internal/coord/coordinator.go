@@ -40,16 +40,14 @@ type Task struct {
 	BaseVersion int
 	ModelKind   model.Kind
 	// Dim is the flat parameter count; Params is the global vector at
-	// BaseVersion (nil when the server is configured not to embed it).
-	// The slice is shared and must be treated as read-only.
+	// BaseVersion. The slice is shared and must be treated as read-only.
 	Dim    int
 	Params tensor.Vector
 	// EncodedParams is the codec blob binary devices receive: the full
 	// parameter vector under TaskScheme, or — when DeltaBase is set — a
 	// delta frame against that published version. Blobs are cached per
 	// (version, scheme) and shared read-only across requests (nil when
-	// the server is configured not to embed params or the client didn't
-	// negotiate the binary protocol).
+	// the client didn't negotiate the binary protocol).
 	EncodedParams []byte
 	// TaskScheme is the encoding EncodedParams was produced under (the
 	// negotiated cohort's broadcast or delta scheme).
@@ -361,19 +359,15 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	c.version.Store(int64(v))
 	bs := newBroadcastState(v, m.Params().Clone(), nil, c.scratch)
-	if !cfg.OmitParams {
-		// With OmitParams no blob is ever served, so skip the encode —
-		// it costs O(dim) work and allocation per publish. Otherwise
-		// pay the default cohort's broadcast eagerly (the common-path
-		// scheme); other cohorts' blobs fill in lazily.
-		blob, err := codec.Encode(bs.published, cfg.Transport.Default.Task)
-		if err != nil {
-			return nil, err
-		}
-		bs.setBlob(cfg.Transport.Default.Task, blob)
-		if cfg.Transport.RingDepth() > 0 {
-			bs.ring = []ringEntry{{version: v, params: bs.published}}
-		}
+	// Pay the default cohort's broadcast eagerly (the common-path
+	// scheme); other cohorts' blobs fill in lazily.
+	blob, err := codec.Encode(bs.published, cfg.Transport.Default.Task)
+	if err != nil {
+		return nil, err
+	}
+	bs.setBlob(cfg.Transport.Default.Task, blob)
+	if cfg.Transport.RingDepth() > 0 {
+		bs.ring = []ringEntry{{version: v, params: bs.published}}
 	}
 	// Pre-register every serving counter so a status page always carries
 	// the full zeroed key set before first traffic (a dashboard shouldn't
@@ -581,11 +575,6 @@ func (c *Coordinator) negotiate(info DeviceInfo, acceptOverride []codec.Kind) tr
 // actually be served) plus the uplink update under the cohort's update
 // scheme.
 func (c *Coordinator) taskEstimate(dec transport.Decision, q TaskQuery) sched.TaskEstimate {
-	if c.cfg.OmitParams {
-		// No blob is ever served: the task's downlink cost is a handful
-		// of headers, so only the uplink counts against the window.
-		return sched.TaskEstimate{UpBytes: sched.WireSizeEstimate(dec.Policy.Update, c.dim)}
-	}
 	down := dec.Policy.Task
 	// The base version is client-controlled: only a base the serving
 	// path could actually answer with a delta (1..current, within the
@@ -628,20 +617,16 @@ func (c *Coordinator) rebuildSched(now time.Time) {
 // rebuildSchedLocked is the census walk body; callers hold rebuildMu
 // (which owns the reused schedCensus buffer).
 func (c *Coordinator) rebuildSchedLocked(now time.Time) {
-	if !c.sched.Enabled() {
-		return
-	}
 	// Per-cohort wire costs: a lowbw device's typical task moves its
 	// cohort's sparse encodings, so its straggler estimate must too —
 	// matching what the per-request gate (taskEstimate) would charge it.
 	ests := make(map[string]sched.TaskEstimate, 2)
 	for _, cohort := range []string{transport.CohortDefault, transport.CohortLowBW} {
 		p := c.cfg.Transport.PolicyFor(cohort)
-		e := sched.TaskEstimate{UpBytes: sched.WireSizeEstimate(p.Update, c.dim)}
-		if !c.cfg.OmitParams {
-			e.DownBytes = sched.WireSizeEstimate(p.Task, c.dim)
+		ests[cohort] = sched.TaskEstimate{
+			DownBytes: sched.WireSizeEstimate(p.Task, c.dim),
+			UpBytes:   sched.WireSizeEstimate(p.Update, c.dim),
 		}
-		ests[cohort] = e
 	}
 	c.schedCensus = c.reg.AppendSchedSamples(c.schedCensus[:0], c.cfg.Criteria, now, c.cfg.Sched.TelemetryTTL)
 	c.sched.Rebuild(c.schedCensus, c.cfg.RoundDeadline, ests)
@@ -654,9 +639,6 @@ func (c *Coordinator) rebuildSchedLocked(now time.Time) {
 // must never wait on an O(fleet) scan, and queueing walks behind an
 // overrun cadence would only dig the hole deeper.
 func (c *Coordinator) spawnRebuildSched(now time.Time) {
-	if !c.sched.Enabled() {
-		return
-	}
 	if !c.rebuildMu.TryLock() {
 		c.counters.Counter("sched_rebuild_skipped").Inc()
 		return
@@ -766,11 +748,8 @@ func (c *Coordinator) RequestTaskWith(deviceID int64, q TaskQuery) (Task, error)
 		UpdateScheme: dec.Policy.Update,
 		LocalSteps:   c.cfg.LocalSteps,
 		Deadline:     r.Deadline,
+		Params:       bs.published,
 	}
-	if c.cfg.OmitParams {
-		return t, nil
-	}
-	t.Params = bs.published
 	if !q.Binary {
 		// JSON clients take Params through the per-version JSON cache;
 		// don't pay a blob encode they will never read.
@@ -944,7 +923,7 @@ func (c *Coordinator) watchdog() {
 	// faster than the deadline-driven tick must pull the tick down with
 	// it — otherwise a sub-tick Sched.RebuildEvery would be silently
 	// quantized to the tick period.
-	if r := c.cfg.Sched.RebuildEvery; c.sched.Enabled() && r < period {
+	if r := c.cfg.Sched.RebuildEvery; r < period {
 		period = r
 	}
 	if period < time.Millisecond {
@@ -1282,9 +1261,6 @@ func (c *Coordinator) buildBroadcast(prev *broadcastState, v int, now time.Time)
 	// concurrent task response.
 	published := c.global.Params().Clone()
 	bs := newBroadcastState(v, published, nil, c.scratch)
-	if c.cfg.OmitParams {
-		return bs, nil
-	}
 	blob, err := codec.Encode(published, c.cfg.Transport.Default.Task)
 	if err != nil {
 		return nil, err

@@ -81,7 +81,7 @@ func TestSchedulerCohortRemap(t *testing.T) {
 
 	st := c.Status()
 	sr := st.Scheduler
-	if !sr.Enabled || sr.Measured != 2 || sr.Remapped != 2 {
+	if sr.Measured != 2 || sr.Remapped != 2 {
 		t.Errorf("scheduler report: %+v", sr)
 	}
 	hist := 0

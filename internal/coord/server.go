@@ -402,9 +402,6 @@ func (s *Server) handleTask(w http.ResponseWriter, r *http.Request) {
 // array, re-rendering only when the published version changes. Concurrent
 // rebuilds are benign: both produce identical bytes.
 func (s *Server) paramsJSON(t Task) json.RawMessage {
-	if t.Params == nil {
-		return nil
-	}
 	if c := s.jsonParams.Load(); c != nil && c.version == t.BaseVersion {
 		return c.raw
 	}

@@ -65,19 +65,6 @@ func (s *CounterSet) Snapshot() map[string]int64 {
 	return out
 }
 
-// Rollup sums counter snapshots key-wise — the fleet-wide view of a set
-// of per-job counter sets. Keys missing from a snapshot contribute zero,
-// so heterogeneous jobs (different pre-registered sets) still roll up.
-func Rollup(snaps ...map[string]int64) map[string]int64 {
-	out := make(map[string]int64)
-	for _, s := range snaps {
-		for name, v := range s {
-			out[name] += v
-		}
-	}
-	return out
-}
-
 // Names lists registered counter names sorted, for stable reporting.
 func (s *CounterSet) Names() []string {
 	s.mu.RLock()

@@ -52,11 +52,6 @@ import (
 
 // Config parameterizes the scheduling plane.
 type Config struct {
-	// Disable turns the scheduler off: cohorts fall back to the radio
-	// label, the deadline gate admits everyone, and OverCommit returns
-	// the configured base. The zero value is enabled — measured
-	// scheduling is the default serving behavior.
-	Disable bool
 	// Alpha is the EWMA smoothing factor for telemetry observations in
 	// (0, 1]; higher weighs recent transfers more. Default 0.3.
 	Alpha float64
@@ -212,7 +207,6 @@ func New(cfg Config) (*Scheduler, error) {
 	s.view.Store(&fleetView{
 		overCommit: 0,
 		cohorts:    map[int64]string{},
-		report:     Report{Enabled: !cfg.Disable},
 	})
 	return s, nil
 }
@@ -220,17 +214,11 @@ func New(cfg Config) (*Scheduler, error) {
 // Config returns the effective (defaulted) configuration.
 func (s *Scheduler) Config() Config { return s.cfg }
 
-// Enabled reports whether measured scheduling is active.
-func (s *Scheduler) Enabled() bool { return !s.cfg.Disable }
-
 // Cohort returns the device's transport cohort: the measured-bandwidth
 // mapping when the device has enough downlink samples, else "" — the
 // caller falls back to the radio label (exactly the pre-scheduler rule),
-// so an unmeasured or disabled fleet behaves as before.
+// so an unmeasured fleet behaves as before.
 func (s *Scheduler) Cohort(id int64) string {
-	if s.cfg.Disable {
-		return ""
-	}
 	return s.view.Load().cohorts[id]
 }
 
@@ -273,7 +261,7 @@ func (s *Scheduler) EstimateSeconds(tel Telemetry, est TaskEstimate) (float64, b
 // configured slack). Devices without telemetry are admitted — the gate
 // only rejects devices *measured* to be too slow.
 func (s *Scheduler) Admit(tel Telemetry, remaining time.Duration, est TaskEstimate) bool {
-	if s.cfg.Disable || remaining <= 0 {
+	if remaining <= 0 {
 		// A non-positive window is the round's problem (its own deadline
 		// check denies), not the device's.
 		return true
@@ -300,9 +288,6 @@ func (s *Scheduler) ProbeDue(n int) bool {
 // Before the first rebuild — or with no measured devices — it returns the
 // base unchanged.
 func (s *Scheduler) OverCommit(base float64) float64 {
-	if s.cfg.Disable {
-		return base
-	}
 	v := s.view.Load()
 	if v.overCommit == 0 {
 		return base
@@ -331,13 +316,9 @@ func (s *Scheduler) Report() Report { return s.view.Load().report }
 // it isn't); a missing cohort falls back to the default cohort's entry.
 // O(fleet) — call it from a maintenance loop, never a serving path.
 func (s *Scheduler) Rebuild(devs []DeviceSample, deadline time.Duration, ests map[string]TaskEstimate) {
-	if s.cfg.Disable {
-		return
-	}
 	next := &fleetView{
 		cohorts: make(map[int64]string, len(devs)),
 		report: Report{
-			Enabled: true,
 			Cohorts: map[string]*CohortStats{
 				transport.CohortDefault: newCohortStats(),
 				transport.CohortLowBW:   newCohortStats(),

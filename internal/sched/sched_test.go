@@ -92,11 +92,6 @@ func TestAdmitDeadlineGate(t *testing.T) {
 	if s.Admit(trained, 10*time.Second, est) {
 		t.Error("long-training device admitted")
 	}
-	// Disabled scheduler admits everyone.
-	off := mustNew(t, Config{Disable: true})
-	if !off.Admit(slow, 10*time.Second, est) {
-		t.Error("disabled scheduler rejected a device")
-	}
 	// Below MinSamples the EWMAs are untrusted in every decision: the
 	// gate admits exactly like the unmeasured case.
 	under := slow

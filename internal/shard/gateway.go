@@ -132,8 +132,6 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		g.handlePartial(w, r)
 	case pathPing:
 		g.handlePing(w, r)
-	case pathTier:
-		writeJSON(w, http.StatusOK, g.leader.Status())
 	case "/v1/status":
 		g.handleRollup(w, r)
 	default:
@@ -455,11 +453,12 @@ type ShardStatus struct {
 	Status json.RawMessage `json:"status,omitempty"`
 }
 
-// Rollup is the gateway's /v1/status payload: the tier's authoritative
-// global version at the top level (so single-job pollers and the fleet
-// generator's round watcher keep reading "version" unchanged), the
-// leader's membership/exchange view, the routing counters, and every
-// shard's own status document.
+// Rollup is the gateway's /v1/status payload and the tier node's only
+// status document: the tier's authoritative global version at the top
+// level (so single-job pollers and the fleet generator's round watcher
+// keep reading "version" unchanged), the leader's membership/exchange
+// view, the routing counters, and every shard's own status document
+// nested verbatim.
 type Rollup struct {
 	Version int              `json:"version"`
 	Tier    TierStatus       `json:"tier"`

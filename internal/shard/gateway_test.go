@@ -238,6 +238,15 @@ func TestGatewayRollup(t *testing.T) {
 	if err := json.Unmarshal(roll.Shards[1].Status, &st); err != nil || st.ShardIndex != 1 {
 		t.Fatalf("shard row 1 carries wrong status doc: %s", roll.Shards[1].Status)
 	}
+	// The leader's view is served once, as the rollup's tier section.
+	tier, err := http.Get(srv.URL + "/shard/v1/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tier.Body.Close()
+	if tier.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /shard/v1/status = %s, want 404", tier.Status)
+	}
 }
 
 // TestHTTPExchangeRoundTrip drives the wire form of the exchange: a

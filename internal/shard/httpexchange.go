@@ -16,7 +16,9 @@ import (
 //
 //	POST /shard/v1/partial  body = codec blob, metadata in X-Flint-*
 //	POST /shard/v1/ping?shard=N
-//	GET  /shard/v1/status   leader TierStatus JSON
+//
+// The leader's TierStatus is served once, as the "tier" section of the
+// gateway's GET /v1/status document.
 //
 // A partial's body is the exact blob coord's partialLocked encoded —
 // the exchange never re-frames it — and a behind shard's response body
@@ -26,7 +28,6 @@ import (
 const (
 	pathPartial = "/shard/v1/partial"
 	pathPing    = "/shard/v1/ping"
-	pathTier    = "/shard/v1/status"
 
 	hdrShard   = "X-Flint-Shard"
 	hdrJob     = "X-Flint-Job"

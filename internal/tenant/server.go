@@ -10,16 +10,16 @@ import (
 	"time"
 
 	"flint/internal/coord"
-	"flint/internal/metrics"
 )
 
 // hdrJobToken is the non-standard token header for clients that can't
 // set Authorization (some embedded HTTP stacks reserve it).
 const hdrJobToken = "X-Flint-Job-Token"
 
-// JobStatus is one job's row in the fleet status rollup: enough to see
+// JobStatus is one job's row in the GET /v1/jobs listing: enough to see
 // every tenant's training progress at a glance without the per-job
-// status page's full scheduler and counter detail.
+// status document's full scheduler and counter detail. Rows never carry
+// a job's token, so they are the listing's view of protected jobs too.
 type JobStatus struct {
 	Name    string      `json:"name"`
 	Mode    coord.Mode  `json:"mode"`
@@ -45,41 +45,12 @@ type JobStatus struct {
 	AuthRejected int64 `json:"auth_rejected,omitempty"`
 }
 
-// FleetRollup is the cross-job section of /v1/status: per-plane sums
-// over every tenant.
-type FleetRollup struct {
-	Jobs              int   `json:"jobs"`
-	DevicesKnown      int   `json:"devices_known"`
-	DevicesLive       int   `json:"devices_live"`
-	RoundsCommitted   int64 `json:"rounds_committed"`
-	UpdatesAggregated int64 `json:"updates_aggregated"`
-	// Counters is the key-wise sum of every job's counter set plus the
-	// tenant plane's routing counters.
-	Counters map[string]int64 `json:"counters"`
-}
-
-// StatusReport is the multi-tenant /v1/status payload. It embeds the
-// default job's full report — JSON-inlined, so single-tenant dashboards
-// and the fleet generator keep reading the fields they always have —
-// and adds the per-job rollup sections.
-type StatusReport struct {
-	coord.StatusReport
-	// DefaultJob names the tenant the embedded report (and every bare
-	// /v1/* request) describes.
-	DefaultJob string `json:"default_job"`
-	// Jobs summarizes every tenant by name.
-	Jobs map[string]JobStatus `json:"jobs"`
-	// Fleet sums training progress and counters across tenants.
-	Fleet FleetRollup `json:"fleet"`
-}
-
 // Server routes the multi-tenant /v1 API:
 //
 //	POST /v1/jobs                admin: register a job from a spec body
 //	GET  /v1/jobs                list job summaries
 //	ANY  /v1/jobs/<job>/<rest>   auth, then the job's /v1/<rest> handler
 //	GET  /v1/jobs/<job>          the job's summary row
-//	GET  /v1/status              fleet rollup (embeds the default job)
 //	ANY  /v1/<rest>              default-job alias (backward compat)
 //
 // Auth is per-job: a job with a token rejects wrong/missing tokens with
@@ -106,8 +77,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.handleJobs(w, r)
 	case strings.HasPrefix(path, "/v1/jobs/"):
 		s.routeJob(w, r, strings.TrimPrefix(path, "/v1/jobs/"))
-	case path == "/v1/status" && r.Method == http.MethodGet:
-		s.handleStatus(w, r)
 	default:
 		// Default-job alias: the bare /v1 API a single-tenant client
 		// speaks, including its auth when the default job carries one.
@@ -157,7 +126,7 @@ func (s *Server) routeJob(w http.ResponseWriter, r *http.Request, sub string) {
 // authed enforces the job's bearer token (when it has one). Wrong or
 // missing tokens are rejected with 401 and counted against the job —
 // cross-tenant probing shows up on the tenant being probed — plus the
-// tenant plane's own rollup counter.
+// tenant plane's own counter.
 func (s *Server) authed(w http.ResponseWriter, r *http.Request, job *Job) bool {
 	want := job.Spec.Token
 	if want == "" {
@@ -216,7 +185,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// jobStatus condenses one job's full status into its rollup row.
+// jobStatus condenses one job's full status into its listing row.
 func (s *Server) jobStatus(j *Job) JobStatus {
 	st := j.Coord.Status()
 	return JobStatus{
@@ -235,38 +204,6 @@ func (s *Server) jobStatus(j *Job) JobStatus {
 		Protected:         j.Spec.Token != "",
 		AuthRejected:      st.Counters["auth_rejected_token"],
 	}
-}
-
-// handleStatus renders the fleet rollup: the default job's full report
-// inlined for backward compatibility, plus every job's summary row and
-// the cross-tenant sums. O(sum of fleets) — a dashboard endpoint, like
-// every coordinator's own status page.
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	jobs := s.reg.Jobs()
-	if len(jobs) == 0 {
-		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("no jobs registered"))
-		return
-	}
-	def := s.reg.Default()
-	rep := StatusReport{
-		StatusReport: def.Coord.Status(),
-		DefaultJob:   def.Spec.Name,
-		Jobs:         make(map[string]JobStatus, len(jobs)),
-	}
-	snaps := make([]map[string]int64, 0, len(jobs)+1)
-	for _, j := range jobs {
-		js := s.jobStatus(j)
-		rep.Jobs[j.Spec.Name] = js
-		rep.Fleet.DevicesKnown += js.DevicesKnown
-		rep.Fleet.DevicesLive += js.DevicesLive
-		rep.Fleet.RoundsCommitted += js.RoundsCommitted
-		rep.Fleet.UpdatesAggregated += js.UpdatesAggregated
-		snaps = append(snaps, j.Coord.Counters().Snapshot())
-	}
-	snaps = append(snaps, s.reg.counters.Snapshot())
-	rep.Fleet.Jobs = len(jobs)
-	rep.Fleet.Counters = metrics.Rollup(snaps...)
-	writeJSON(w, http.StatusOK, rep)
 }
 
 // ListenAndServe runs the multi-tenant API on addr until the server

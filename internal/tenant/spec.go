@@ -106,7 +106,7 @@ func parseSchemeInto(dst *codec.Scheme, raw string) error {
 // a spec states only what makes the job different.
 type JobSpec struct {
 	// Name identifies the job in /v1/jobs/<name>/... routes, the
-	// modelstore, and the status rollup. Required; letters, digits,
+	// modelstore, and the /v1/jobs listing. Required; letters, digits,
 	// '-', '_', '.' only.
 	Name string `json:"name"`
 	// Mode is the training protocol ("sync" or "async").

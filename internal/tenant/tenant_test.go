@@ -162,9 +162,9 @@ func TestJobRoutingAndAuth(t *testing.T) {
 // the bare /v1/* paths too — the alias is a route, not a bypass.
 func TestDefaultAliasCarriesAuth(t *testing.T) {
 	_, ts := newTestPlane(t, false, JobSpec{Name: "solo", Token: "k"})
-	if code := doReq(t, "GET", ts.URL+"/v1/status", "", nil, nil); code != 200 {
-		// /v1/status is the fleet rollup, outside per-job auth.
-		t.Fatalf("rollup status = %d, want 200", code)
+	if code := doReq(t, "GET", ts.URL+"/v1/status", "", nil, nil); code != 401 {
+		// Bare /v1/status is the default job's document, behind its auth.
+		t.Fatalf("bare status without token = %d, want 401", code)
 	}
 	if code := doReq(t, "GET", ts.URL+"/v1/task", "", nil, nil); code != 401 {
 		t.Fatalf("bare task without token = %d, want 401", code)
@@ -291,9 +291,9 @@ func TestAdminRegistration(t *testing.T) {
 	}
 }
 
-// TestStatusRollup pins the fleet status shape: the default job's
-// report inlined (backward compatibility), one row per job, and summed
-// fleet counters.
+// TestStatusRollup pins the cross-job view: GET /v1/jobs lists one row
+// per job with its census, quota and protection, the per-job documents
+// sum to the fleet's counters, and no surface serializes a token.
 func TestStatusRollup(t *testing.T) {
 	reg, ts := newTestPlane(t, false,
 		JobSpec{Name: "a"},
@@ -303,49 +303,103 @@ func TestStatusRollup(t *testing.T) {
 	reg.Get("b").Coord.CheckIn(testInfo(1))
 	reg.Get("b").Coord.CheckIn(testInfo(2))
 
-	var st StatusReport
-	if code := doReq(t, "GET", ts.URL+"/v1/status", "", nil, &st); code != 200 {
-		t.Fatalf("status = %d, want 200", code)
+	var rows []JobStatus
+	if code := doReq(t, "GET", ts.URL+"/v1/jobs", "", nil, &rows); code != 200 {
+		t.Fatalf("job list = %d, want 200", code)
 	}
-	if st.DefaultJob != "a" {
-		t.Fatalf("default job %q, want a", st.DefaultJob)
+	if len(rows) != 2 {
+		t.Fatalf("job list has %d rows, want 2", len(rows))
 	}
-	// The embedded report is the default job's: one known device.
-	if st.Devices.Known != 1 {
-		t.Fatalf("inlined devices.known = %d, want 1 (job a)", st.Devices.Known)
+	byName := map[string]JobStatus{}
+	known := 0
+	for _, row := range rows {
+		byName[row.Name] = row
+		known += row.DevicesKnown
 	}
-	if len(st.Jobs) != 2 {
-		t.Fatalf("jobs rollup has %d rows, want 2", len(st.Jobs))
-	}
-	b := st.Jobs["b"]
+	b := byName["b"]
 	if !b.Protected || b.MaxDevices != 9 || b.DevicesKnown != 2 {
 		t.Fatalf("job b row = %+v", b)
 	}
-	if st.Fleet.Jobs != 2 || st.Fleet.DevicesKnown != 3 {
-		t.Fatalf("fleet rollup = %+v", st.Fleet)
+	if known != 3 {
+		t.Fatalf("rows sum to %d known devices, want 3", known)
 	}
-	if st.Fleet.Counters["checkin_total"] != 3 {
-		t.Fatalf("fleet checkin_total = %d, want 3", st.Fleet.Counters["checkin_total"])
+	// Per-job documents carry the counters; the fleet sum is the
+	// reader's to take.
+	checkins := int64(0)
+	for _, job := range []struct{ name, token string }{{"a", ""}, {"b", "hunter2-zz"}} {
+		var st coord.StatusReport
+		if code := doReq(t, "GET", ts.URL+"/v1/jobs/"+job.name+"/status", job.token, nil, &st); code != 200 {
+			t.Fatalf("job %s status = %d, want 200", job.name, code)
+		}
+		if bytes.Contains(mustJSON(t, st), []byte("hunter2-zz")) {
+			t.Fatalf("job %s status JSON leaks a job token", job.name)
+		}
+		checkins += st.Counters["checkin_total"]
 	}
-	// The raw JSON must inline the default report's fields at top level
-	// (single-tenant dashboards read "round", "devices", "counters").
+	if checkins != 3 {
+		t.Fatalf("fleet checkin_total = %d, want 3", checkins)
+	}
+	// Tokens must never serialize.
+	if bytes.Contains(mustJSON(t, rows), []byte("hunter2-zz")) {
+		t.Fatal("job list JSON leaks a job token")
+	}
+}
+
+// TestBareStatusIsDefaultJob pins that bare GET /v1/status is the
+// default job's own document, reached through the default-job alias
+// with that job's token check, not a separate cross-job view.
+func TestBareStatusIsDefaultJob(t *testing.T) {
+	reg, ts := newTestPlane(t, false,
+		JobSpec{Name: "a"},
+		JobSpec{Name: "b"},
+	)
+	reg.Get("a").Coord.CheckIn(testInfo(1))
+	reg.Get("b").Coord.CheckIn(testInfo(1))
+	reg.Get("b").Coord.CheckIn(testInfo(2))
+
+	var bare, byName coord.StatusReport
+	if code := doReq(t, "GET", ts.URL+"/v1/status", "", nil, &bare); code != 200 {
+		t.Fatalf("bare status = %d, want 200", code)
+	}
+	if code := doReq(t, "GET", ts.URL+"/v1/jobs/a/status", "", nil, &byName); code != 200 {
+		t.Fatalf("job a status = %d, want 200", code)
+	}
+	if bare.ModelName != "a" || bare.ModelName != byName.ModelName {
+		t.Fatalf("bare model_name %q, job a's %q", bare.ModelName, byName.ModelName)
+	}
+	if bare.Devices.Known != 1 || bare.Devices.Known != byName.Devices.Known {
+		t.Fatalf("bare devices.known = %d, job a's %d (want 1)", bare.Devices.Known, byName.Devices.Known)
+	}
+	// The document is coord's, key for key: nothing is inlined on top.
 	resp, err := http.Get(ts.URL + "/v1/status")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var flat map[string]any
+	var flat map[string]json.RawMessage
 	if err := json.NewDecoder(resp.Body).Decode(&flat); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	for _, key := range []string{"round", "devices", "counters", "jobs", "fleet", "default_job"} {
-		if _, ok := flat[key]; !ok {
-			t.Errorf("/v1/status JSON missing top-level %q", key)
+	for _, key := range []string{"jobs", "fleet", "default_job"} {
+		if _, ok := flat[key]; ok {
+			t.Errorf("bare /v1/status carries non-job key %q", key)
 		}
 	}
-	// Tokens must never serialize.
-	if bytes.Contains(mustJSON(t, st), []byte("hunter2-zz")) {
-		t.Fatal("status JSON leaks a job token")
+
+	// A protected default job guards its bare status like any bare path.
+	reg, ts = newTestPlane(t, false, JobSpec{Name: "p", Token: "k"})
+	if code := doReq(t, "GET", ts.URL+"/v1/status", "", nil, nil); code != 401 {
+		t.Fatalf("protected bare status without token = %d, want 401", code)
+	}
+	var st coord.StatusReport
+	if code := doReq(t, "GET", ts.URL+"/v1/status", "k", nil, &st); code != 200 {
+		t.Fatalf("protected bare status with token = %d, want 200", code)
+	}
+	if st.Counters["auth_rejected_token"] != 1 {
+		t.Fatalf("auth_rejected_token = %d, want 1", st.Counters["auth_rejected_token"])
+	}
+	if got := reg.Get("p").Coord.Counters().Counter("auth_rejected_token").Value(); got != 1 {
+		t.Fatalf("job p auth_rejected_token = %d, want 1", got)
 	}
 }
 

@@ -48,9 +48,20 @@ import (
 	"flint/internal/codec"
 	"flint/internal/coord"
 	"flint/internal/network"
+	"flint/internal/shard"
 	"flint/internal/tensor"
 	"flint/internal/transport"
 	"flint/internal/vclock"
+)
+
+// The virtual clock starts at 19:00, the diurnal peak, so a short run
+// begins with devices awake. The Table 1 device-state marginals are
+// modulated per session hour by the availability curves.
+const (
+	startHour       = 19
+	wifiProb        = 0.70
+	batteryHighProb = 0.34
+	modernOSProb    = 0.93
 )
 
 // Config drives one load run.
@@ -80,11 +91,7 @@ type Config struct {
 	// Rounds, when > 0, stops the run early once the server has
 	// committed that many rounds past the starting version.
 	Rounds int
-	// StartHour is the virtual clock's hour-of-day at t=0 (0-23;
-	// default 19, the diurnal peak, so a short run begins with devices
-	// awake). Set -1 for 0:00 explicitly.
-	StartHour int
-	Seed      int64
+	Seed   int64
 	// Workers is the event-loop goroutine count; each multiplexes
 	// Devices/Workers virtual devices (default 4 x GOMAXPROCS, capped
 	// at 64). It also bounds concurrent in-flight HTTP requests — the
@@ -112,11 +119,6 @@ type Config struct {
 	// (downlink from the model, uplink at 40% of it); nil gets the
 	// fleet generator's default mixed-link model.
 	Bandwidth *network.BandwidthModel
-	// WiFiProb/BatteryHighProb/ModernOSProb are the Table 1 device-state
-	// marginals, modulated per session hour by the availability curves.
-	WiFiProb        float64
-	BatteryHighProb float64
-	ModernOSProb    float64
 	// Timeout bounds the whole run in wall time.
 	Timeout time.Duration
 	// Client overrides the HTTP client (tests inject the httptest
@@ -188,14 +190,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.VirtualDuration <= 0 {
 		c.VirtualDuration = 24 * time.Hour
 	}
-	switch {
-	case c.StartHour == 0:
-		c.StartHour = 19
-	case c.StartHour == -1:
-		c.StartHour = 0
-	case c.StartHour < 0 || c.StartHour > 23:
-		return c, fmt.Errorf("vload: start hour %d outside 0-23", c.StartHour)
-	}
 	if c.Workers <= 0 {
 		c.Workers = 4 * runtime.GOMAXPROCS(0)
 		if c.Workers > 64 {
@@ -226,15 +220,6 @@ func (c Config) withDefaults() (Config, error) {
 	if err := c.Bandwidth.Validate(); err != nil {
 		return c, fmt.Errorf("vload: %w", err)
 	}
-	if c.WiFiProb == 0 {
-		c.WiFiProb = 0.70
-	}
-	if c.BatteryHighProb == 0 {
-		c.BatteryHighProb = 0.34
-	}
-	if c.ModernOSProb == 0 {
-		c.ModernOSProb = 0.93
-	}
 	if c.Timeout <= 0 {
 		c.Timeout = 10 * time.Minute
 	}
@@ -251,8 +236,8 @@ func (c Config) withDefaults() (Config, error) {
 
 // hourAt maps a virtual timestamp (seconds since run start) to its
 // virtual hour of day.
-func (c *Config) hourAt(v float64) int {
-	return int(math.Mod(float64(c.StartHour)+v/3600, 24))
+func hourAt(v float64) int {
+	return int(math.Mod(startHour+v/3600, 24))
 }
 
 // Report is the load plane's result.
@@ -296,15 +281,9 @@ type Report struct {
 	CheckInLatency LatencySummary `json:"checkin_latency"`
 	TaskLatency    LatencySummary `json:"task_latency"`
 	UpdateLatency  LatencySummary `json:"update_latency"`
-	// RegistryBytesPerDev/SchedulerBytesPerDev echo the server's
-	// /v1/status footprint section at shutdown (0 in gateway mode,
-	// where the rollup nests per-shard documents instead).
-	RegistryBytesPerDev  float64 `json:"registry_bytes_per_device,omitempty"`
-	SchedulerBytesPerDev float64 `json:"scheduler_bytes_per_device,omitempty"`
-	SchedDevices         int     `json:"sched_census_devices,omitempty"`
-	TierShards           int     `json:"tier_shards,omitempty"`
-	// FinalStatus is the server's shutdown snapshot (nil in gateway
-	// mode).
+	TierShards     int            `json:"tier_shards,omitempty"`
+	// FinalStatus is the job's status document at shutdown (nil in
+	// gateway mode, where the tier document nests one per shard).
 	FinalStatus *coord.StatusReport `json:"final_status,omitempty"`
 }
 
@@ -338,9 +317,9 @@ func (r *Report) String() string {
 		fmt.Fprintf(&b, "  %-8s n=%-7d p50 %7.2fms  p90 %7.2fms  p99 %7.2fms  max %7.2fms\n",
 			row.name, row.l.Count, row.l.P50, row.l.P90, row.l.P99, row.l.Max)
 	}
-	if r.RegistryBytesPerDev > 0 {
+	if st := r.FinalStatus; st != nil && st.Scheduler.Footprint.RegistryBytesPerDev > 0 {
 		fmt.Fprintf(&b, "  footprint: %.0f B/device registry, %.0f B/device scheduler (census %d)\n",
-			r.RegistryBytesPerDev, r.SchedulerBytesPerDev, r.SchedDevices)
+			st.Scheduler.Footprint.RegistryBytesPerDev, st.Scheduler.Footprint.SchedulerBytesPerDev, st.Scheduler.Devices)
 	}
 	if r.TierShards > 0 {
 		fmt.Fprintf(&b, "  tier: routed through a %d-shard gateway\n", r.TierShards)
@@ -501,7 +480,7 @@ func (w *worker) nextSessionStart(v float64) float64 {
 	peakRate := w.cfg.SessionsPerDay / 86400 / w.diurnalMean
 	for i := 0; i < 1_000_000; i++ {
 		v += w.rng.ExpFloat64() / peakRate
-		if w.rng.Float64() < availability.DiurnalIntensity(w.cfg.hourAt(v)) {
+		if w.rng.Float64() < availability.DiurnalIntensity(hourAt(v)) {
 			return v
 		}
 	}
@@ -514,11 +493,11 @@ func (w *worker) nextSessionStart(v float64) float64 {
 // virtual seconds in (forcing the flush if the batch hasn't filled).
 func (w *worker) wake(ctx context.Context, idx int32) {
 	d := &w.devs[idx]
-	hour := w.cfg.hourAt(w.vnow)
+	hour := hourAt(w.vnow)
 	dur := w.cfg.SessionMedianSec * math.Exp(w.rng.NormFloat64()*1.1)
 	d.sessionEnd = w.vnow + dur
-	d.wifi = w.rng.Float64() < clamp01(w.cfg.WiFiProb+availability.WiFiShift(hour))
-	d.battery = w.rng.Float64() < clamp01(w.cfg.BatteryHighProb+availability.BatteryShift(hour))
+	d.wifi = w.rng.Float64() < clamp01(wifiProb+availability.WiFiShift(hour))
+	d.battery = w.rng.Float64() < clamp01(batteryHighProb+availability.BatteryShift(hour))
 	if !d.pending {
 		d.pending = true
 		w.pending = append(w.pending, idx)
@@ -955,9 +934,9 @@ func Run(cfg Config) (*Report, error) {
 			down := cfg.Bandwidth.SampleBps(w.rng)
 			d.downBps, d.upBps = float32(down), float32(down*0.4)
 			d.weight = float32(20 + w.rng.Intn(180))
-			d.modern = w.rng.Float64() < cfg.ModernOSProb
-			d.wifi = w.rng.Float64() < cfg.WiFiProb
-			d.battery = w.rng.Float64() < cfg.BatteryHighProb
+			d.modern = w.rng.Float64() < modernOSProb
+			d.wifi = w.rng.Float64() < wifiProb
+			d.battery = w.rng.Float64() < batteryHighProb
 		}
 		workers[wi] = w
 	}
@@ -1102,12 +1081,7 @@ func Run(cfg Config) (*Report, error) {
 	defer cancelFinal()
 	if v, st, err := fetchVersion(finalCtx, cfg); err == nil {
 		endVersion.Store(int64(v))
-		if st != nil {
-			rep.FinalStatus = st
-			rep.RegistryBytesPerDev = st.Scheduler.Footprint.RegistryBytesPerDev
-			rep.SchedulerBytesPerDev = st.Scheduler.Footprint.SchedulerBytesPerDev
-			rep.SchedDevices = st.Scheduler.Devices
-		}
+		rep.FinalStatus = st
 	}
 	rep.EndVersion = int(endVersion.Load())
 	rep.RoundsCommitted = rep.EndVersion - rep.StartVersion
@@ -1118,71 +1092,57 @@ func Run(cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// tierProbe is the slice of the gateway rollup vload needs (decoded
-// locally: importing internal/shard here would be a needless coupling).
-type tierProbe struct {
-	Version int `json:"version"`
-	Tier    struct {
-		Shards  int  `json:"shards"`
-		Healthy bool `json:"healthy"`
-	} `json:"tier"`
+// fetchVersion reads the server's current published version — from the
+// top level of the gateway's shard.Rollup in tier mode, else from the
+// job's coord.StatusReport, which is also returned for the shutdown
+// snapshot.
+func fetchVersion(ctx context.Context, cfg Config) (int, *coord.StatusReport, error) {
+	if cfg.Gateway {
+		var roll shard.Rollup
+		if err := getStatus(ctx, cfg, &roll); err != nil {
+			return 0, nil, err
+		}
+		return roll.Version, nil, nil
+	}
+	var st coord.StatusReport
+	if err := getStatus(ctx, cfg, &st); err != nil {
+		return 0, nil, err
+	}
+	return st.Version, &st, nil
 }
 
-// fetchVersion reads the server's current published version — from the
-// gateway rollup's top level in tier mode, else from the job's
-// /v1/status (whose full document is also returned for the shutdown
-// snapshot).
-func fetchVersion(ctx context.Context, cfg Config) (int, *coord.StatusReport, error) {
+// getStatus decodes the server's status document into out: the tier
+// document at the gateway's bare /v1/status, else the job's own.
+func getStatus(ctx context.Context, cfg Config, out any) error {
 	url := cfg.api + "/status"
 	if cfg.Gateway {
 		url = cfg.BaseURL + "/v1/status"
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
-		return 0, nil, err
+		return err
 	}
 	cfg.authorize(req)
 	resp, err := cfg.Client.Do(req)
 	if err != nil {
-		return 0, nil, err
+		return err
 	}
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
 	if err != nil || resp.StatusCode != http.StatusOK {
-		return 0, nil, fmt.Errorf("vload: status probe: HTTP %d (%v)", resp.StatusCode, err)
+		return fmt.Errorf("vload: status probe: HTTP %d (%v)", resp.StatusCode, err)
 	}
-	if cfg.Gateway {
-		var tp tierProbe
-		if err := json.Unmarshal(raw, &tp); err != nil {
-			return 0, nil, err
-		}
-		return tp.Version, nil, nil
-	}
-	var st coord.StatusReport
-	if err := json.Unmarshal(raw, &st); err != nil {
-		return 0, nil, err
-	}
-	return st.Version, &st, nil
+	return json.Unmarshal(raw, out)
 }
 
 // waitTierHealthy blocks until the gateway reports every shard alive
 // (launching a million virtual devices into a halted tier would only
 // measure the halt gate).
-func waitTierHealthy(ctx context.Context, cfg Config) (*tierProbe, error) {
+func waitTierHealthy(ctx context.Context, cfg Config) (*shard.Rollup, error) {
 	for {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, cfg.BaseURL+"/v1/status", nil)
-		if err != nil {
-			return nil, err
-		}
-		if resp, err := cfg.Client.Do(req); err == nil {
-			raw, rerr := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-			resp.Body.Close()
-			if rerr == nil && resp.StatusCode == http.StatusOK {
-				var tp tierProbe
-				if json.Unmarshal(raw, &tp) == nil && tp.Tier.Healthy {
-					return &tp, nil
-				}
-			}
+		var roll shard.Rollup
+		if getStatus(ctx, cfg, &roll) == nil && roll.Tier.Healthy {
+			return &roll, nil
 		}
 		select {
 		case <-ctx.Done():

@@ -78,10 +78,7 @@ type (
 	JobRegistry = tenant.Registry
 	// Job is one registered tenant (spec + running coordinator).
 	Job = tenant.Job
-	// TenantStatus is the multi-tenant /v1/status payload: the default
-	// job's report inlined plus per-job and fleet rollup sections.
-	TenantStatus = tenant.StatusReport
-	// TenantJobStatus is one job's rollup row.
+	// TenantJobStatus is one job's row in the GET /v1/jobs listing.
 	TenantJobStatus = tenant.JobStatus
 )
 
@@ -90,7 +87,7 @@ type (
 func NewJobRegistry(base CoordConfig) *JobRegistry { return tenant.NewRegistry(base) }
 
 // TenantHandler wraps a job registry in the multi-tenant /v1 router
-// (job routing, default-job alias, status rollup). admin enables
+// (job routing, job listing, default-job alias). admin enables
 // POST /v1/jobs job registration.
 func TenantHandler(reg *JobRegistry, admin bool) http.Handler { return tenant.NewServer(reg, admin) }
 

@@ -52,9 +52,9 @@ func TestServingFacade(t *testing.T) {
 		t.Fatalf("wire stats: %d binary devices, %d sent, %d received",
 			rep.FullDevices, rep.BytesSent, rep.BytesRecv)
 	}
-	// The scheduling plane is on by default and its report rides status.
+	// The scheduling plane's report rides status.
 	var sr flint.SchedReport = c.Status().Scheduler
-	if !sr.Enabled {
+	if sr.Footprint.Devices == 0 {
 		t.Fatalf("scheduler report: %+v", sr)
 	}
 	if labels := flint.SchedBucketLabels(); len(labels) == 0 {
@@ -95,8 +95,8 @@ func TestTensorFacade(t *testing.T) {
 
 // TestMultiTenantFacade drives the tenant exports end to end: one
 // router hosting two jobs (one token-protected), two concurrent fleets
-// on disjoint device IDs, both committing rounds, plus the rollup
-// status shape.
+// on disjoint device IDs, both committing rounds, plus the job
+// listing and the default job's status.
 func TestMultiTenantFacade(t *testing.T) {
 	base := flint.DefaultCoordConfig()
 	base.Mode = flint.CoordAsync
@@ -152,23 +152,36 @@ func TestMultiTenantFacade(t *testing.T) {
 		}
 	}
 
-	// The rollup sees both tenants' progress.
-	resp, err := srv.Client().Get(srv.URL + "/v1/status")
+	// The job listing sees both tenants' progress.
+	resp, err := srv.Client().Get(srv.URL + "/v1/jobs")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st flint.TenantStatus
+	var rows []flint.TenantJobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&rows); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if len(rows) != 2 {
+		t.Fatalf("job listing: %d jobs", len(rows))
+	}
+	for _, row := range rows {
+		if row.RoundsCommitted < 2 {
+			t.Fatalf("job %s row shows %d rounds", row.Name, row.RoundsCommitted)
+		}
+	}
+	// Bare /v1/status is the default job's own document.
+	resp, err = srv.Client().Get(srv.URL + "/v1/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st flint.CoordStatus
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if st.DefaultJob != "ads" || st.Fleet.Jobs != 2 {
-		t.Fatalf("rollup: default %q, %d jobs", st.DefaultJob, st.Fleet.Jobs)
-	}
-	for _, name := range []string{"ads", "msg"} {
-		if st.Jobs[name].RoundsCommitted < 2 {
-			t.Fatalf("job %s rollup shows %d rounds", name, st.Jobs[name].RoundsCommitted)
-		}
+	if st.ModelName != "ads" {
+		t.Fatalf("bare status describes %q, want the default job ads", st.ModelName)
 	}
 	// A tokenless probe of the protected tenant stays locked out even
 	// while its own fleet runs.
